@@ -702,12 +702,13 @@ fn check_phase(report: &BenchReport) -> bool {
 ///
 /// Recovery fidelity: the booted engine must match the rebuilt engine
 /// **bit for bit** — same generation, identical object vectors, identical
-/// index base tables (the suffix table is a pure function of the base) —
-/// per shard where applicable.  Up to 100k objects the check additionally
-/// replays the full mixed request pool on both engines and compares the
-/// responses byte-for-byte (`stats_stripped`); past that scale a single
-/// similar-region search runs for minutes on clustered data (the ROADMAP
-/// AQP item), so the bit-level state check carries the parity claim.
+/// index base tables (the suffix table is a pure function of the base) and
+/// identical shard regions where applicable.  Up to 100k objects the check
+/// additionally replays the full mixed request pool on both engines and
+/// compares the responses byte-for-byte (`stats_stripped`); past that
+/// scale a single similar-region search runs for minutes on clustered
+/// data (the ROADMAP AQP item), so the bit-level state check carries the
+/// parity claim.
 #[derive(Debug, Serialize)]
 struct BootBenchReport {
     benchmark: String,
@@ -738,7 +739,7 @@ enum RecordedMutation {
 }
 
 /// Bit-level equality of two exported engine images: generation, object
-/// vectors, and index base tables (whole-dataset and per shard).
+/// vectors, index base tables and shard regions.
 fn states_identical(a: &asrs_core::EngineState, b: &asrs_core::EngineState) -> bool {
     fn index_eq(x: Option<&asrs_core::GridIndex>, y: Option<&asrs_core::GridIndex>) -> bool {
         match (x, y) {
@@ -756,18 +757,7 @@ fn states_identical(a: &asrs_core::EngineState, b: &asrs_core::EngineState) -> b
     a.generation == b.generation
         && *a.dataset == *b.dataset
         && index_eq(a.index.as_deref(), b.index.as_deref())
-        && match (&a.shards, &b.shards) {
-            (None, None) => true,
-            (Some(x), Some(y)) => {
-                x.len() == y.len()
-                    && x.iter().zip(y).all(|(s, t)| {
-                        s.region == t.region
-                            && *s.dataset == *t.dataset
-                            && index_eq(s.index.as_deref(), t.index.as_deref())
-                    })
-            }
-            _ => false,
-        }
+        && a.shards == b.shards
 }
 
 fn run_boot_bench(args: &Args) -> BootBenchReport {

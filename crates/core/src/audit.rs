@@ -3,8 +3,9 @@
 //! The engine's correctness rests on structural invariants that normal
 //! operation only exercises indirectly: the grid index's suffix tables
 //! must be the deterministic sweep of its base table, an incrementally
-//! maintained index must be bit-identical to a fresh build, shard
-//! partitions must stay disjoint-and-covering, planner statistics must
+//! maintained index must be bit-identical to a fresh build, every object
+//! must route to a shard whose stored count includes it, planner
+//! statistics must
 //! describe the dataset they were captured from, and every cache key's
 //! generation stamp must refer to a generation that exists.  A violation
 //! of any of these would surface — much later — as a wrong answer or a
@@ -20,13 +21,13 @@
 //! [`EngineHandle::audit`](crate::EngineHandle::audit), and a serving
 //! engine exposes the report as `GET /audit`.
 
-use crate::engine::{EngineCore, EngineShared, IndexUpkeep};
+use crate::engine::{EngineCore, EngineShared};
 use crate::grid_index::GridIndex;
-use crate::planner::{EngineStatistics, IndexStatistics};
+use crate::planner::EngineStatistics;
+use crate::shard::{owning_shard_for_point, ShardSet};
 use asrs_data::Dataset;
 use asrs_geo::Rect;
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// One violated invariant: which check tripped and what it saw.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -84,20 +85,18 @@ impl Auditor {
 ///   objects, bitwise.
 /// * **statistics** — the planner statistics equal a fresh recapture by
 ///   the same code path the builder and the mutation publisher run
-///   (object count, extent, index statistics — virtual for per-shard
-///   upkeep — and shard fan-out).
-/// * **index** (when attached, top-level and per shard) — the statistics
+///   (object count, extent, index statistics and shard fan-out).
+/// * **index** (when attached, sharded or not) — the statistics
 ///   dimensionality matches the aggregator, the object count matches the
 ///   dataset, the suffix table equals the deterministic sweep of the base
 ///   table bitwise, and — while the grid geometry still matches the
 ///   dataset — the whole index equals a fresh
 ///   [`GridIndex::build`] bitwise (the incremental-maintenance
 ///   guarantee).
-/// * **shards** (when sharded) — every dataset object lives in exactly
-///   one shard (cover + disjointness), every shard object lies inside its
-///   shard's region with interior points routed to that same shard (the
-///   cut-line tie rule), no shard holds an object the dataset lacks, and
-///   no shard core's generation exceeds the published generation.
+/// * **shards** (when sharded) — the shard table holds as many regions as
+///   the reported fan-out, every dataset object routes to some shard, and
+///   every stored per-shard count equals a recount with the routing rule
+///   ([`owning_shard_for_point`]) the builder, publisher and restore use.
 /// * **cache** (when attached) — every stored key's generation stamp
 ///   refers to this or an earlier generation.  Meaningful when no
 ///   mutation publishes concurrently; the facade methods hold the
@@ -121,7 +120,7 @@ pub(crate) fn audit_core(core: &EngineCore) -> AuditReport {
     audit_dataset(&mut audit, &core.dataset);
     audit_statistics(&mut audit, core);
     if let Some(index) = core.index.as_deref() {
-        audit_index(&mut audit, index, &core.dataset, core, "");
+        audit_index(&mut audit, index, core);
     }
     if let Some(set) = &core.shards {
         audit_shards(&mut audit, core, set);
@@ -215,24 +214,7 @@ fn rect_options_bit_equal(a: Option<&Rect>, b: Option<&Rect>) -> bool {
 /// and the mutation publisher run, and compares them with the stored ones.
 fn audit_statistics(audit: &mut Auditor, core: &EngineCore) {
     let mut expected = EngineStatistics::capture(&core.dataset, core.index.as_deref());
-    if let IndexUpkeep::PerShard { cols, rows } = core.upkeep {
-        expected.index = if core.dataset.is_empty() {
-            None
-        } else {
-            match IndexStatistics::virtual_for(&core.dataset, cols, rows) {
-                Ok(stats) => Some(stats),
-                Err(err) => {
-                    audit.check("statistics-recapture", false, || {
-                        format!("virtual index statistics failed to recompute: {err}")
-                    });
-                    return;
-                }
-            }
-        };
-    }
-    if let Some(set) = &core.shards {
-        expected.shards = Some(set.fan_out());
-    }
+    expected.shards = core.shards.as_ref().map(ShardSet::fan_out);
     audit.check("statistics-recapture", expected == core.statistics, || {
         format!(
             "stored statistics {:?} != recaptured {:?}",
@@ -241,22 +223,15 @@ fn audit_statistics(audit: &mut Auditor, core: &EngineCore) {
     });
 }
 
-/// Audits one grid index against the dataset it summarises.  `scope`
-/// prefixes the detail messages (`""` for the top-level index, a shard
-/// label for per-shard indexes).
-fn audit_index(
-    audit: &mut Auditor,
-    index: &GridIndex,
-    dataset: &Dataset,
-    core: &EngineCore,
-    scope: &str,
-) {
+/// Audits the engine's grid index against the dataset it summarises.
+fn audit_index(audit: &mut Auditor, index: &GridIndex, core: &EngineCore) {
+    let dataset = &core.dataset;
     audit.check(
         "index-stats-dim",
         index.stats_dim() == core.aggregator.stats_dim(),
         || {
             format!(
-                "{scope}index carries {} statistics dims, aggregator needs {}",
+                "index carries {} statistics dims, aggregator needs {}",
                 index.stats_dim(),
                 core.aggregator.stats_dim()
             )
@@ -267,7 +242,7 @@ fn audit_index(
         index.objects_indexed() == dataset.len(),
         || {
             format!(
-                "{scope}index summarises {} objects, dataset holds {}",
+                "index summarises {} objects, dataset holds {}",
                 index.objects_indexed(),
                 dataset.len()
             )
@@ -287,10 +262,10 @@ fn audit_index(
         Ok(swept) => audit.check(
             "index-suffix-table",
             tables_bit_equal(index.suffix_table(), swept.suffix_table()),
-            || format!("{scope}suffix table diverges from the sweep of its base table"),
+            || "suffix table diverges from the sweep of its base table".to_string(),
         ),
         Err(err) => audit.check("index-suffix-table", false, || {
-            format!("{scope}base table failed to reassemble: {err}")
+            format!("base table failed to reassemble: {err}")
         }),
     }
 
@@ -306,11 +281,11 @@ fn audit_index(
                     "index-rebuild-identity",
                     tables_bit_equal(index.base_table(), fresh.base_table())
                         && tables_bit_equal(index.suffix_table(), fresh.suffix_table()),
-                    || format!("{scope}maintained index diverges bitwise from a fresh build"),
+                    || "maintained index diverges bitwise from a fresh build".to_string(),
                 );
             }
             Err(err) => audit.check("index-rebuild-identity", false, || {
-                format!("{scope}fresh index build failed during audit: {err}")
+                format!("fresh index build failed during audit: {err}")
             }),
         }
     }
@@ -320,98 +295,36 @@ fn tables_bit_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Audits the shard table: partition cover/disjointness, region
-/// ownership, generation monotonicity and the per-shard indexes.
-fn audit_shards(audit: &mut Auditor, core: &EngineCore, set: &crate::shard::ShardSet) {
-    // Generation monotonicity: a shard core is either carried over from an
-    // earlier generation (untouched by the mutations since) or rebuilt at
-    // the current one — never from the future.
-    let ahead: Vec<usize> = set
-        .shards
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.core.generation > core.generation)
-        .map(|(i, _)| i)
-        .collect();
-    audit.check("shard-generations", ahead.is_empty(), || {
-        format!(
-            "shard(s) {:?} carry generations past the published {}",
-            ahead, core.generation
-        )
-    });
+/// Audits the shard table: region count, routing cover and the stored
+/// per-shard object counts.
+fn audit_shards(audit: &mut Auditor, core: &EngineCore, set: &ShardSet) {
+    let reported = core.statistics.shards.map(|f| f.shards);
+    audit.check(
+        "shard-count",
+        set.len() > 0 && reported == Some(set.len()),
+        || {
+            format!(
+                "shard table holds {} region(s), fan-out reports {reported:?}",
+                set.len()
+            )
+        },
+    );
 
-    // Cover + disjointness by object id: every dataset object in exactly
-    // one shard, no shard object missing from the dataset.
-    let mut owner_of: HashMap<u64, usize> = HashMap::new();
-    let mut duplicated = Vec::new();
-    let mut foreign = Vec::new();
-    for (i, shard) in set.shards.iter().enumerate() {
-        for o in shard.core.dataset.objects() {
-            if owner_of.insert(o.id, i).is_some() {
-                duplicated.push(o.id);
-            }
-            if !core.dataset.contains_id(o.id) {
-                foreign.push(o.id);
-            }
+    let mut recount = vec![0usize; set.len()];
+    let mut unrouted = Vec::new();
+    for o in core.dataset.objects() {
+        match owning_shard_for_point(set, &o.location) {
+            Some(owner) => recount[owner] += 1,
+            None => unrouted.push(o.id),
         }
     }
-    audit.check("shard-disjointness", duplicated.is_empty(), || {
-        format!("object id(s) {duplicated:?} live in more than one shard")
+    audit.check("shard-cover", unrouted.is_empty(), || {
+        format!("dataset object id(s) {unrouted:?} route to no shard")
     });
-    audit.check("shard-no-foreign-objects", foreign.is_empty(), || {
-        format!("shard object id(s) {foreign:?} are absent from the dataset")
+    let stored: Vec<usize> = set.shards.iter().map(|s| s.objects).collect();
+    audit.check("shard-object-counts", stored == recount, || {
+        format!("stored per-shard object counts {stored:?} != recount {recount:?}")
     });
-    let missing: Vec<u64> = core
-        .dataset
-        .objects()
-        .filter(|o| !owner_of.contains_key(&o.id))
-        .map(|o| o.id)
-        .collect();
-    audit.check("shard-cover", missing.is_empty(), || {
-        format!("dataset object id(s) {missing:?} belong to no shard")
-    });
-
-    // Region ownership: every shard object lies inside its shard's
-    // region, and an object strictly interior to the region routes back
-    // to that same shard (cut-line points may legitimately be owned by a
-    // neighbour under the at-or-above tie rule, so only interior points
-    // pin the owner uniquely).
-    let mut outside = Vec::new();
-    let mut misrouted = Vec::new();
-    for (i, shard) in set.shards.iter().enumerate() {
-        for o in shard.core.dataset.objects() {
-            let p = &o.location;
-            if !shard.region.contains_point(p) {
-                outside.push(o.id);
-                continue;
-            }
-            let interior = p.x > shard.region.min_x
-                && p.x < shard.region.max_x
-                && p.y > shard.region.min_y
-                && p.y < shard.region.max_y;
-            if interior && crate::mutate::owning_shard_for_point(set, o) != Some(i) {
-                misrouted.push(o.id);
-            }
-        }
-    }
-    audit.check("shard-region-containment", outside.is_empty(), || {
-        format!("object id(s) {outside:?} lie outside their shard's region")
-    });
-    audit.check("shard-routing", misrouted.is_empty(), || {
-        format!("interior object id(s) {misrouted:?} route to a different shard than the one holding them")
-    });
-
-    for (i, shard) in set.shards.iter().enumerate() {
-        if let Some(index) = shard.core.index.as_deref() {
-            audit_index(
-                audit,
-                index,
-                &shard.core.dataset,
-                core,
-                &format!("shard {i}: "),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -527,5 +440,31 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.check == "index-object-count"));
+    }
+
+    #[test]
+    fn a_stale_shard_count_or_an_unrouted_object_is_detected() {
+        let engine = engine(200, 3, true, 0);
+        let core = engine.core();
+        let set = core.shards.as_ref().unwrap();
+        let findings = |set: &ShardSet| {
+            let mut audit = Auditor {
+                checks_run: 0,
+                findings: Vec::new(),
+            };
+            audit_shards(&mut audit, &core, set);
+            audit.findings.iter().map(|f| f.check).collect::<Vec<_>>()
+        };
+        assert!(findings(set).is_empty());
+
+        let mut stale = set.carry_over();
+        stale.shards[1].objects += 1;
+        assert_eq!(findings(&stale), ["shard-object-counts"]);
+
+        // Dropping the last region leaves its objects routed nowhere.
+        let mut regions: Vec<_> = set.shards.iter().map(|s| s.region).collect();
+        regions.pop();
+        let uncovered = ShardSet::counted(regions, &core.dataset);
+        assert!(findings(&uncovered).contains(&"shard-cover"));
     }
 }

@@ -279,17 +279,8 @@ enum IndexSpec {
 pub(crate) enum IndexUpkeep {
     /// No index to maintain.
     None,
-    /// One whole-dataset index on the engine core: unsharded engines, and
-    /// sharded engines serving statistics from an attached index.
+    /// One whole-dataset index on the engine core, sharded or not.
     PerEngine {
-        /// Rebuild granularity: columns.
-        cols: usize,
-        /// Rebuild granularity: rows.
-        rows: usize,
-    },
-    /// One index per shard (sharded engines that requested an index
-    /// build); the planner reads virtual whole-dataset geometry instead.
-    PerShard {
         /// Rebuild granularity: columns.
         cols: usize,
         /// Rebuild granularity: rows.
@@ -336,13 +327,15 @@ impl EngineBuilder {
 
     /// Shards the engine: the dataset is partitioned spatially into `n`
     /// disjoint regions (longest-axis recursive splits, see
-    /// [`SpatialPartition`](asrs_data::SpatialPartition)), one core — and,
-    /// with [`EngineBuilder::build_index`], one grid index, built in
-    /// parallel — per region.  Requests are scattered across the shards'
-    /// anchor slabs and gathered with the engine's deterministic
-    /// tie-break; the gathered outcome is byte-identical for every shard
-    /// count, statistics excepted (the internal `shard` module documents
-    /// the exactness and determinism argument; the comparison form is
+    /// [`SpatialPartition`](asrs_data::SpatialPartition)).  A shard is
+    /// just its region: the engine keeps one dataset and, with
+    /// [`EngineBuilder::build_index`], one whole-dataset grid index,
+    /// exactly like an unsharded engine.  Requests are scattered across
+    /// the shards' anchor slabs and gathered with the engine's
+    /// deterministic tie-break; the gathered outcome is byte-identical for
+    /// every shard count, statistics excepted (the internal `shard` module
+    /// documents the exactness and determinism argument; the comparison
+    /// form is
     /// [`QueryResponse::stats_stripped`](crate::QueryResponse::stats_stripped)).
     ///
     /// `0` (the default) disables sharding entirely — the classic
@@ -399,8 +392,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds a `cols × rows` grid index over the dataset during
-    /// [`EngineBuilder::build`].
+    /// Builds one `cols × rows` grid index over the whole dataset during
+    /// [`EngineBuilder::build`], on sharded and unsharded engines alike.
+    /// The planner reads its statistics, so a request plans the same
+    /// backend whatever the shard count.
     pub fn build_index(mut self, cols: usize, rows: usize) -> Self {
         self.index = IndexSpec::Build { cols, rows };
         self
@@ -428,9 +423,6 @@ impl EngineBuilder {
     ///   without an index.
     pub fn build(self) -> Result<AsrsEngine, AsrsError> {
         self.config.validate()?;
-        if self.shards > 0 {
-            return self.build_sharded();
-        }
         let index = match self.index {
             IndexSpec::None => None,
             IndexSpec::Build { cols, rows } => Some(GridIndex::build(
@@ -459,7 +451,10 @@ impl EngineBuilder {
                 IndexUpkeep::PerEngine { cols, rows }
             }
         };
-        let statistics = EngineStatistics::capture(&self.dataset, index.as_ref());
+        let mut statistics = EngineStatistics::capture(&self.dataset, index.as_ref());
+        let shards =
+            (self.shards > 0).then(|| crate::shard::build_shard_set(&self.dataset, self.shards));
+        statistics.shards = shards.as_ref().map(crate::shard::ShardSet::fan_out);
         let cache =
             (self.cache_capacity > 0).then(|| Arc::new(QueryCache::new(self.cache_capacity)));
         Ok(AsrsEngine::from_core(EngineCore {
@@ -474,83 +469,7 @@ impl EngineBuilder {
             statistics,
             cache,
             policy: self.mutation_policy,
-            shards: None,
-        }))
-    }
-
-    /// The sharded sibling of [`EngineBuilder::build`]: partitions the
-    /// dataset, builds one core (and index) per shard — in parallel when
-    /// cores allow — and captures shard-count-*invariant* planner
-    /// statistics so identical requests plan (and answer) identically for
-    /// every shard count.
-    fn build_sharded(self) -> Result<AsrsEngine, AsrsError> {
-        use crate::planner::IndexStatistics;
-
-        // The full core keeps an attached whole-dataset index (it is
-        // shard-count independent, so it can serve statistics); a
-        // *requested* index build happens per shard instead, with the
-        // planner reading the whole-dataset index geometry virtually.
-        let (index, upkeep, mut statistics) = match self.index {
-            IndexSpec::None => (
-                None,
-                IndexUpkeep::None,
-                EngineStatistics::capture(&self.dataset, None),
-            ),
-            IndexSpec::Build { cols, rows } => {
-                let virtual_index = IndexStatistics::virtual_for(&self.dataset, cols, rows)?;
-                let mut statistics = EngineStatistics::capture(&self.dataset, None);
-                statistics.index = Some(virtual_index);
-                (None, IndexUpkeep::PerShard { cols, rows }, statistics)
-            }
-            IndexSpec::Attach(index) => {
-                if index.stats_dim() != self.aggregator.stats_dim() {
-                    return Err(AsrsError::IndexMismatch {
-                        index_dims: index.stats_dim(),
-                        aggregator_dims: self.aggregator.stats_dim(),
-                    });
-                }
-                let statistics = EngineStatistics::capture(&self.dataset, Some(&index));
-                let (cols, rows) = index.granularity();
-                (
-                    Some(index),
-                    IndexUpkeep::PerEngine { cols, rows },
-                    statistics,
-                )
-            }
-        };
-        if self.strategy == Strategy::GiDs && statistics.index.is_none() {
-            return Err(AsrsError::IndexRequired { strategy: "gi-ds" });
-        }
-
-        let aggregator = Arc::new(self.aggregator);
-        let shard_set = crate::shard::build_shard_set(
-            &self.dataset,
-            &aggregator,
-            &self.config,
-            self.strategy,
-            &self.planner,
-            upkeep,
-            self.shards,
-            0,
-            &self.mutation_policy,
-        )?;
-        statistics.shards = Some(shard_set.fan_out());
-
-        let cache =
-            (self.cache_capacity > 0).then(|| Arc::new(QueryCache::new(self.cache_capacity)));
-        Ok(AsrsEngine::from_core(EngineCore {
-            generation: 0,
-            dataset: Arc::new(self.dataset),
-            aggregator,
-            config: self.config,
-            strategy: self.strategy,
-            index: index.map(Arc::new),
-            upkeep,
-            planner: self.planner,
-            statistics,
-            cache,
-            policy: self.mutation_policy,
-            shards: Some(shard_set),
+            shards,
         }))
     }
 
@@ -573,8 +492,6 @@ impl EngineBuilder {
     /// statistics layout disagrees with the aggregator, an attached-index
     /// builder), plus the validation errors of [`EngineBuilder::build`].
     pub fn build_restored(self, state: EngineState) -> Result<AsrsEngine, AsrsError> {
-        use crate::planner::IndexStatistics;
-
         self.config.validate()?;
         if matches!(self.index, IndexSpec::Attach(_)) {
             return Err(AsrsError::Persistence {
@@ -596,153 +513,68 @@ impl EngineBuilder {
             IndexSpec::Build { cols, rows } => Some((cols, rows)),
             _ => None,
         };
-        let check_index = |index: &GridIndex, what: &str| -> Result<(), AsrsError> {
-            if index.stats_dim() != self.aggregator.stats_dim() {
+        if self.strategy == Strategy::GiDs && build_granularity.is_none() {
+            return Err(AsrsError::IndexRequired { strategy: "gi-ds" });
+        }
+        match (state.index.as_deref(), build_granularity) {
+            (Some(index), _) if index.stats_dim() != self.aggregator.stats_dim() => {
                 return Err(AsrsError::IndexMismatch {
                     index_dims: index.stats_dim(),
                     aggregator_dims: self.aggregator.stats_dim(),
                 });
             }
-            match build_granularity {
-                Some(granularity) if index.granularity() == granularity => Ok(()),
-                Some((cols, rows)) => Err(AsrsError::Persistence {
+            (Some(index), Some(granularity)) if index.granularity() == granularity => {}
+            (Some(index), Some((cols, rows))) => {
+                return Err(AsrsError::Persistence {
                     message: format!(
-                        "persisted {} index is {}x{}, builder requests {}x{}",
-                        what,
+                        "persisted index is {}x{}, builder requests {}x{}",
                         index.granularity().0,
                         index.granularity().1,
                         cols,
                         rows
                     ),
-                }),
-                None => Err(AsrsError::Persistence {
-                    message: format!(
-                        "persisted image carries a {} index, but the builder requests none",
-                        what
-                    ),
-                }),
+                });
             }
-        };
-        if self.strategy == Strategy::GiDs && build_granularity.is_none() {
-            return Err(AsrsError::IndexRequired { strategy: "gi-ds" });
-        }
-
-        if self.shards == 0 {
-            if let Some(index) = state.index.as_deref() {
-                check_index(index, "whole-dataset")?;
-            } else if build_granularity.is_some() && !state.dataset.is_empty() {
+            (Some(_), None) => {
+                return Err(AsrsError::Persistence {
+                    message: "persisted image carries an index, but the builder requests none"
+                        .to_string(),
+                });
+            }
+            (None, Some(_)) if !state.dataset.is_empty() => {
                 return Err(AsrsError::Persistence {
                     message: "builder requests an index, persisted image has none".to_string(),
                 });
             }
-            // Upkeep follows the builder's request, exactly as a mutated
-            // engine keeps its granularity even while the index is dropped
-            // on an emptied dataset.
-            let upkeep = match build_granularity {
-                Some((cols, rows)) => IndexUpkeep::PerEngine { cols, rows },
-                None => IndexUpkeep::None,
-            };
-            let statistics = EngineStatistics::capture(&state.dataset, state.index.as_deref());
-            let cache =
-                (self.cache_capacity > 0).then(|| Arc::new(QueryCache::new(self.cache_capacity)));
-            return Ok(AsrsEngine::from_core(EngineCore {
-                generation: state.generation,
-                dataset: state.dataset,
-                aggregator: Arc::new(self.aggregator),
-                config: self.config,
-                strategy: self.strategy,
-                index: state.index,
-                upkeep,
-                planner: self.planner,
-                statistics,
-                cache,
-                policy: self.mutation_policy,
-                shards: None,
-            }));
+            (None, _) => {}
         }
-
-        // Sharded restore: rebuild the shard table from the persisted
-        // regions, sub-datasets and per-shard indexes, mirroring
-        // `build_shard_set`'s core assembly (and the mutation publisher's
-        // statistics refresh) exactly.
+        // Upkeep follows the builder's request, exactly as a mutated
+        // engine keeps its granularity even while the index is dropped on
+        // an emptied dataset.
         let upkeep = match build_granularity {
-            Some((cols, rows)) => IndexUpkeep::PerShard { cols, rows },
+            Some((cols, rows)) => IndexUpkeep::PerEngine { cols, rows },
             None => IndexUpkeep::None,
         };
-        let mut statistics = EngineStatistics::capture(&state.dataset, None);
-        if let Some((cols, rows)) = build_granularity {
-            statistics.index = if state.dataset.is_empty() {
-                None
-            } else {
-                Some(IndexStatistics::virtual_for(&state.dataset, cols, rows)?)
-            };
-        }
-        let aggregator = Arc::new(self.aggregator);
-        // lint:allow(the enclosing branch runs only when state.shards is Some; checked a few lines above)
-        let shard_states = state.shards.expect("count checked above");
-        let mut shards = Vec::with_capacity(shard_states.len());
-        for shard in shard_states {
-            if let Some(index) = shard.index.as_deref() {
-                if index.stats_dim() != aggregator.stats_dim() {
-                    return Err(AsrsError::IndexMismatch {
-                        index_dims: index.stats_dim(),
-                        aggregator_dims: aggregator.stats_dim(),
-                    });
-                }
-                match build_granularity {
-                    Some(granularity) if index.granularity() == granularity => {}
-                    _ => {
-                        return Err(AsrsError::Persistence {
-                            message: "persisted shard index granularity disagrees with the builder"
-                                .to_string(),
-                        })
-                    }
-                }
-            } else if build_granularity.is_some() && !shard.dataset.is_empty() {
-                return Err(AsrsError::Persistence {
-                    message: "builder requests per-shard indexes, a populated persisted shard \
-                              has none"
-                        .to_string(),
-                });
-            }
-            let shard_statistics =
-                EngineStatistics::capture(&shard.dataset, shard.index.as_deref());
-            shards.push(crate::shard::EngineShard {
-                region: shard.region,
-                core: Arc::new(EngineCore {
-                    generation: state.generation,
-                    dataset: shard.dataset,
-                    aggregator: Arc::clone(&aggregator),
-                    config: self.config.clone(),
-                    strategy: self.strategy,
-                    index: shard.index,
-                    upkeep: IndexUpkeep::None,
-                    planner: self.planner.clone(),
-                    statistics: shard_statistics,
-                    cache: None,
-                    policy: self.mutation_policy.clone(),
-                    shards: None,
-                }),
-                requests: std::sync::atomic::AtomicU64::new(0),
-            });
-        }
-        let shard_set = crate::shard::ShardSet { shards };
-        statistics.shards = Some(shard_set.fan_out());
+        let mut statistics = EngineStatistics::capture(&state.dataset, state.index.as_deref());
+        let shards = state
+            .shards
+            .map(|regions| crate::shard::ShardSet::counted(regions, &state.dataset));
+        statistics.shards = shards.as_ref().map(crate::shard::ShardSet::fan_out);
         let cache =
             (self.cache_capacity > 0).then(|| Arc::new(QueryCache::new(self.cache_capacity)));
         Ok(AsrsEngine::from_core(EngineCore {
             generation: state.generation,
             dataset: state.dataset,
-            aggregator,
+            aggregator: Arc::new(self.aggregator),
             config: self.config,
             strategy: self.strategy,
-            index: None,
+            index: state.index,
             upkeep,
             planner: self.planner,
             statistics,
             cache,
             policy: self.mutation_policy,
-            shards: Some(shard_set),
+            shards,
         }))
     }
 }
@@ -880,17 +712,6 @@ pub trait DurabilitySink: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// One shard of an exported engine image (see [`EngineState`]).
-#[derive(Debug, Clone)]
-pub struct ShardState {
-    /// The partition region this shard owns.
-    pub region: Rect,
-    /// The shard's sub-dataset (objects in shard order).
-    pub dataset: Arc<Dataset>,
-    /// The shard's grid index, when the engine builds per-shard indexes.
-    pub index: Option<Arc<GridIndex>>,
-}
-
 /// A point-in-time image of one engine generation, sufficient to
 /// reassemble a byte-identical engine without re-indexing.
 ///
@@ -910,9 +731,10 @@ pub struct EngineState {
     pub dataset: Arc<Dataset>,
     /// The whole-dataset grid index, if the engine maintains one.
     pub index: Option<Arc<GridIndex>>,
-    /// Per-shard regions, sub-datasets and indexes of a sharded engine
-    /// (`None` on single-core engines), in shard order.
-    pub shards: Option<Vec<ShardState>>,
+    /// The partition regions of a sharded engine, in shard order (`None`
+    /// on unsharded engines).  Per-shard object counts are recounted from
+    /// the dataset on restore.
+    pub shards: Option<Vec<Rect>>,
 }
 
 /// Captures an [`EngineState`] from the current generation (shared by
@@ -924,16 +746,7 @@ pub(crate) fn export_state(shared: &EngineShared) -> EngineState {
         generation: core.generation,
         dataset: Arc::clone(&core.dataset),
         index: core.index.clone(),
-        shards: core.shards.as_ref().map(|set| {
-            set.shards
-                .iter()
-                .map(|shard| ShardState {
-                    region: shard.region,
-                    dataset: Arc::clone(&shard.core.dataset),
-                    index: shard.core.index.clone(),
-                })
-                .collect()
-        }),
+        shards: core.shards.as_ref().map(crate::shard::ShardSet::regions),
     }
 }
 
@@ -1537,12 +1350,6 @@ impl AsrsEngine {
     /// single engine).  Surfaced by the server's `/metrics`.
     pub fn shard_request_counts(&self) -> Option<Vec<u64>> {
         self.core().shards.as_ref().map(|s| s.request_counts())
-    }
-
-    /// Per-shard planner statistics, in shard order (`None` for a single
-    /// engine).
-    pub fn shard_statistics(&self) -> Option<Vec<EngineStatistics>> {
-        self.core().shards.as_ref().map(|s| s.statistics())
     }
 
     /// The spatial partition regions of a sharded engine, in shard order

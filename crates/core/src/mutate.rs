@@ -56,14 +56,16 @@
 //! counts {1, 2, 4}, cache enabled — batched and sequential application
 //! alike.
 //!
-//! Sharded engines route an append to the shard whose region contains the
-//! object (removals to the shard holding the id) and maintain only that
-//! shard's sub-core — untouched shards are shared with the previous
-//! generation via `Arc`.  A mutation that leaves the partition's extent or
-//! unbalances a shard past [`MutationPolicy::shard_imbalance_factor`]
-//! triggers a full re-partition instead.  Shard layout never affects
-//! answers (the scatter-gather guarantee of PR 4), so routing and
-//! re-partitioning are pure performance decisions.
+//! A shard is only its region, so a sharded engine maintains the same
+//! dataset and whole-dataset index as an unsharded one, plus one object
+//! count per shard: an append or removal bumps or decrements the count of
+//! the shard its object's location routes to
+//! ([`owning_shard_for_point`]).  An append that leaves the partition's
+//! extent or unbalances a shard past
+//! [`MutationPolicy::shard_imbalance_factor`] triggers a full re-partition
+//! instead.  Shard layout never affects answers (the scatter-gather
+//! exactness of the `shard` module), so routing and re-partitioning are
+//! pure performance decisions.
 //!
 //! # Cache invalidation
 //!
@@ -77,15 +79,14 @@
 use crate::engine::{EngineCore, EngineShared, IndexUpkeep};
 use crate::error::AsrsError;
 use crate::grid_index::GridIndex;
-use crate::planner::{EngineStatistics, IndexStatistics};
-use crate::shard::{build_shard_set, ShardSet};
+use crate::planner::EngineStatistics;
+use crate::shard::{build_shard_set, owning_shard_for_point, ShardSet};
 use asrs_aggregator::CompositeAggregator;
 use asrs_data::{Dataset, Mutation, MutationLog, SpatialObject};
 use asrs_geo::Point;
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -887,10 +888,10 @@ fn fail_batch(
 }
 
 /// Applies the validated plan to a single successor core: one dataset
-/// clone, per-op index/shard maintenance in serialization order (exactly
-/// what a sequence of solo mutations would run, so batched and sequential
-/// application are bit-identical), then one statistics capture and one
-/// core assembly.
+/// clone, per-op index and shard-count maintenance in serialization order
+/// (exactly what a sequence of solo mutations would run, so batched and
+/// sequential application are bit-identical), then one statistics capture
+/// and one core assembly.
 fn assemble(
     core: &Arc<EngineCore>,
     state: &MutationState,
@@ -921,7 +922,6 @@ fn assemble(
                     &mut index,
                     &mut shards,
                     Delta::Append(&object),
-                    generation,
                 )?;
                 if let Some(ttl) = ttl {
                     ttl_events.push(TtlEvent::Arm { id: object.id, ttl });
@@ -941,7 +941,6 @@ fn assemble(
                     &mut index,
                     &mut shards,
                     Delta::Remove(&removed),
-                    generation,
                 )?;
                 ttl_events.push(TtlEvent::Disarm { id });
                 logged.push(Mutation::Remove { id });
@@ -961,7 +960,6 @@ fn assemble(
                     &mut index,
                     &mut shards,
                     Delta::Remove(&removed),
-                    generation,
                 )?;
                 logged.push(Mutation::Expire { id });
                 ("expire", id, how, repartitioned)
@@ -985,16 +983,7 @@ fn assemble(
     // Statistics are recaptured per generation, mirroring the builder
     // paths exactly so mutated and rebuilt engines plan identically.
     let mut statistics = EngineStatistics::capture(&dataset, index.as_deref());
-    if let IndexUpkeep::PerShard { cols, rows } = core.upkeep {
-        statistics.index = if dataset.is_empty() {
-            None
-        } else {
-            Some(IndexStatistics::virtual_for(&dataset, cols, rows)?)
-        };
-    }
-    if let Some(set) = &shards {
-        statistics.shards = Some(set.fan_out());
-    }
+    statistics.shards = shards.as_ref().map(ShardSet::fan_out);
 
     let next = EngineCore {
         generation,
@@ -1053,7 +1042,7 @@ enum Delta<'a> {
 /// Folds one delta into the working index and shard table — the per-op
 /// maintenance step of a batch, identical to what one solo mutation used
 /// to run.  `dataset` is the working dataset *after* the delta applied.
-/// Returns what happened to the index(es) and whether the delta
+/// Returns what happened to the index and whether the delta
 /// re-partitioned.
 fn fold_delta(
     core: &EngineCore,
@@ -1062,13 +1051,10 @@ fn fold_delta(
     index: &mut Option<Arc<GridIndex>>,
     shards: &mut Option<ShardSet>,
     delta: Delta<'_>,
-    generation: u64,
 ) -> Result<(IndexMaintenance, bool), AsrsError> {
     let mut index_maintenance = IndexMaintenance::NotIndexed;
     let mut repartitioned = false;
 
-    // Top-level index upkeep: unsharded engines, and sharded engines that
-    // serve statistics from an attached whole-dataset index.
     if let IndexUpkeep::PerEngine { cols, rows } = core.upkeep {
         let (next, how) = maintain_index(
             index.as_deref(),
@@ -1078,69 +1064,46 @@ fn fold_delta(
             rows,
             delta,
             counters,
-            Some(&core.policy),
+            &core.policy,
         )?;
         index_maintenance = how;
         *index = next.map(Arc::new);
     }
 
-    // Shard upkeep: route the delta to the owning shard, or re-partition
-    // when the layout no longer fits.
-    if let Some(set) = shards.take() {
-        let needs_repartition = match delta {
-            Delta::Append(object) => match owning_shard_for_point(&set, object) {
-                None => true,
-                Some(owner) => {
-                    let new_len = set.shards[owner].core.dataset.len() + 1;
-                    let fair = (dataset.len() as f64 / set.len() as f64).max(1.0);
-                    new_len as f64 > core.policy.shard_imbalance_factor * fair
+    // Shard upkeep: count the delta against the shard its location routes
+    // to, or re-partition when the layout no longer fits.
+    if let Some(set) = shards.as_mut() {
+        match delta {
+            Delta::Append(object) => {
+                let fair = (dataset.len() as f64 / set.len() as f64).max(1.0);
+                let overloaded = |owner: usize| {
+                    (set.shards[owner].objects + 1) as f64
+                        > core.policy.shard_imbalance_factor * fair
+                };
+                match owning_shard_for_point(set, &object.location) {
+                    Some(owner) if !overloaded(owner) => set.shards[owner].objects += 1,
+                    _ => {
+                        repartitioned = true;
+                        counters.repartitions += 1;
+                        *set = build_shard_set(dataset, set.len());
+                    }
                 }
-            },
-            Delta::Remove(_) => false,
-        };
-        let next = if needs_repartition {
-            repartitioned = true;
-            counters.repartitions += 1;
-            // A re-partition rebuilds every populated shard's index
-            // from scratch inside `build_shard_set`; the receipt and
-            // the rebuild counter must say so.
-            if matches!(core.upkeep, IndexUpkeep::PerShard { .. }) {
-                index_maintenance = IndexMaintenance::Rebuilt;
-                counters.index_rebuilds += 1;
             }
-            build_shard_set(
-                dataset,
-                &core.aggregator,
-                &core.config,
-                core.strategy,
-                &core.planner,
-                core.upkeep,
-                set.len(),
-                generation,
-                &core.policy,
-            )?
-        } else {
-            let (next, how) = update_shard_set(core, &set, delta, generation, counters)?;
-            if matches!(core.upkeep, IndexUpkeep::PerShard { .. }) {
-                index_maintenance = how;
+            Delta::Remove(object) => {
+                if let Some(owner) = owning_shard_for_point(set, &object.location) {
+                    set.shards[owner].objects -= 1;
+                }
             }
-            next
-        };
-        *shards = Some(next);
+        }
     }
     Ok((index_maintenance, repartitioned))
 }
 
-/// Maintains one grid index under `delta`: incremental when the grid
-/// geometry still matches (and, with a rebuild budget, while the
-/// accumulated delta stays within it), a full rebuild otherwise.  Both
-/// paths produce bit-identical indexes (see [`GridIndex`]); the choice is
+/// Maintains the whole-dataset grid index under `delta`: incremental while
+/// the grid geometry still matches and the accumulated delta stays within
+/// the policy's rebuild budget, a full rebuild otherwise.  Both paths
+/// produce bit-identical indexes (see [`GridIndex`]); the choice is
 /// performance.
-///
-/// `policy` is `Some` for the engine's whole-dataset index — the
-/// rebuild-fraction budget and its bookkeeping apply — and `None` for
-/// per-shard indexes, which never affect answers (the scatter searches
-/// the full instance) and only honour the geometry check.
 #[allow(clippy::too_many_arguments)]
 fn maintain_index(
     current: Option<&GridIndex>,
@@ -1150,22 +1113,16 @@ fn maintain_index(
     rows: usize,
     delta: Delta<'_>,
     counters: &mut CounterDraft,
-    policy: Option<&MutationPolicy>,
+    policy: &MutationPolicy,
 ) -> Result<(Option<GridIndex>, IndexMaintenance), AsrsError> {
     if dataset.is_empty() {
         // Nothing left to index; a fresh builder over the empty dataset
         // would refuse to build one too.
         return Ok((None, IndexMaintenance::Dropped));
     }
-    let within_budget = match policy {
-        Some(policy) => {
-            let budget = (policy.index_rebuild_fraction
-                * counters.objects_at_index_build.max(1) as f64)
-                .ceil() as usize;
-            counters.mutations_since_index_build < budget.max(1)
-        }
-        None => true,
-    };
+    let budget = (policy.index_rebuild_fraction * counters.objects_at_index_build.max(1) as f64)
+        .ceil() as usize;
+    let within_budget = counters.mutations_since_index_build < budget.max(1);
     if let Some(idx) = current {
         if within_budget && idx.space_matches(dataset) {
             let mut next = idx.clone();
@@ -1173,107 +1130,16 @@ fn maintain_index(
                 Delta::Append(object) => next.update_append(object, aggregator),
                 Delta::Remove(object) => next.update_remove(object, dataset, aggregator),
             }
-            if policy.is_some() {
-                counters.mutations_since_index_build += 1;
-            }
+            counters.mutations_since_index_build += 1;
             counters.incremental_updates += 1;
             return Ok((Some(next), IndexMaintenance::Incremental));
         }
     }
     let next = GridIndex::build(dataset, aggregator, cols, rows)?;
-    if policy.is_some() {
-        counters.mutations_since_index_build = 0;
-        counters.objects_at_index_build = dataset.len();
-    }
+    counters.mutations_since_index_build = 0;
+    counters.objects_at_index_build = dataset.len();
     counters.index_rebuilds += 1;
     Ok((Some(next), IndexMaintenance::Rebuilt))
-}
-
-/// The shard an appended object routes to, honouring the partitioner's
-/// tie rule for cut-line points: `SpatialPartition` assigns an object
-/// sitting exactly on a cut to the *at-or-above* (right/upper) side, so a
-/// containing region whose max edge passes through the point does not own
-/// it — unless no other region does, which only happens on the partition
-/// extent's own max edges (and for the zero-area regions of degenerate
-/// partitions), where any containing region is fine.
-pub(crate) fn owning_shard_for_point(set: &ShardSet, object: &SpatialObject) -> Option<usize> {
-    let p = &object.location;
-    set.shards
-        .iter()
-        .position(|s| s.region.contains_point(p) && p.x < s.region.max_x && p.y < s.region.max_y)
-        .or_else(|| set.shards.iter().position(|s| s.region.contains_point(p)))
-}
-
-/// Applies `delta` to the owning shard's sub-core, sharing every untouched
-/// shard with the previous generation.  Returns the new shard table and
-/// what happened to the owning shard's index.
-fn update_shard_set(
-    core: &EngineCore,
-    set: &ShardSet,
-    delta: Delta<'_>,
-    generation: u64,
-    counters: &mut CounterDraft,
-) -> Result<(ShardSet, IndexMaintenance), AsrsError> {
-    let owner = match delta {
-        Delta::Append(object) => owning_shard_for_point(set, object),
-        Delta::Remove(object) => set
-            .shards
-            .iter()
-            .position(|s| s.core.dataset.contains_id(object.id)),
-    };
-    let mut how = IndexMaintenance::NotIndexed;
-    let mut shards = Vec::with_capacity(set.len());
-    for (i, shard) in set.shards.iter().enumerate() {
-        let new_core = if Some(i) == owner {
-            let mut sub = (*shard.core.dataset).clone();
-            match delta {
-                Delta::Append(object) => sub.append(object.clone())?,
-                Delta::Remove(object) => {
-                    sub.remove_by_id(object.id);
-                }
-            }
-            let index = match core.upkeep {
-                IndexUpkeep::PerShard { cols, rows } => {
-                    let (next, shard_how) = maintain_index(
-                        shard.core.index.as_deref(),
-                        &sub,
-                        &core.aggregator,
-                        cols,
-                        rows,
-                        delta,
-                        counters,
-                        None,
-                    )?;
-                    how = shard_how;
-                    next.map(Arc::new)
-                }
-                _ => None,
-            };
-            let statistics = EngineStatistics::capture(&sub, index.as_deref());
-            Arc::new(EngineCore {
-                generation,
-                dataset: Arc::new(sub),
-                aggregator: Arc::clone(&shard.core.aggregator),
-                config: shard.core.config.clone(),
-                strategy: shard.core.strategy,
-                index,
-                upkeep: shard.core.upkeep,
-                planner: shard.core.planner.clone(),
-                statistics,
-                cache: None,
-                policy: shard.core.policy.clone(),
-                shards: None,
-            })
-        } else {
-            Arc::clone(&shard.core)
-        };
-        shards.push(crate::shard::EngineShard {
-            region: shard.region,
-            core: new_core,
-            requests: AtomicU64::new(shard.requests.load(Ordering::Relaxed)),
-        });
-    }
-    Ok((ShardSet { shards }, how))
 }
 
 #[cfg(test)]
@@ -1283,7 +1149,7 @@ mod tests {
     use crate::AsrsEngine;
     use asrs_aggregator::Selection;
     use asrs_data::gen::UniformGenerator;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn test_engine(n: usize) -> (AsrsEngine, SpatialObject) {
         let ds = UniformGenerator::default().generate(n, 7);

@@ -8,7 +8,7 @@ use crate::error::AsrsError;
 use crate::grid_index::GridIndex;
 use crate::request::{Backend, QueryRequest};
 use asrs_data::Dataset;
-use asrs_geo::{GridSpec, Rect, RegionSize};
+use asrs_geo::{Rect, RegionSize};
 use serde::Serialize;
 use std::fmt;
 
@@ -21,10 +21,9 @@ pub struct EngineStatistics {
     pub object_count: usize,
     /// Bounding box of the dataset (`None` when empty).
     pub extent: Option<Rect>,
-    /// Statistics of the attached grid index, if any.  For a sharded
-    /// engine this describes the *reference* (whole-dataset) index
-    /// geometry, deliberately independent of the shard count so identical
-    /// requests plan identically on `shards(1)` and `shards(k)`.
+    /// Statistics of the engine's whole-dataset grid index, if any.  A
+    /// sharded engine keeps the same index as an unsharded one, so
+    /// identical requests plan identically for every shard count.
     pub index: Option<IndexStatistics>,
     /// Shard fan-out of a sharded engine (`None` on single engines).
     /// Descriptive only: the backend decision never reads it, again so
@@ -38,11 +37,11 @@ pub struct EngineStatistics {
 pub struct ShardFanOut {
     /// Number of shards the dataset was partitioned into.
     pub shards: usize,
-    /// Shards that actually hold objects.  An *estimate* of the execution
-    /// fan-out: routing decides per request by slab reachability (an empty
-    /// shard still executes when a neighbour's rectangles reach its anchor
-    /// slab, and a populated shard is skipped when none do), so the
-    /// per-request `shards_touched` counter can differ in either
+    /// Shards that at least one object routes to.  An *estimate* of the
+    /// execution fan-out: routing decides per request by slab reachability
+    /// (an empty shard still executes when a neighbour's rectangles reach
+    /// its anchor slab, and a populated shard is skipped when none do), so
+    /// the per-request `shards_touched` counter can differ in either
     /// direction.
     pub populated: usize,
 }
@@ -82,40 +81,6 @@ impl EngineStatistics {
             index: index_stats,
             shards: None,
         }
-    }
-}
-
-impl IndexStatistics {
-    /// The statistics a `cols × rows` [`GridIndex`] over `dataset` *would*
-    /// have, computed without building it.
-    ///
-    /// Used by the sharded engine builder: a sharded engine builds one
-    /// index per shard rather than a whole-dataset index, but its planner
-    /// must still decide from whole-dataset index geometry so the chosen
-    /// backend is identical for every shard count.  The formulas replicate
-    /// [`EngineStatistics::capture`] over [`GridIndex::build`]'s grid
-    /// specification bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::EmptyDataset`] when the dataset has no object (the same
-    /// condition under which [`GridIndex::build`] refuses to index).
-    pub fn virtual_for(dataset: &Dataset, cols: usize, rows: usize) -> Result<Self, AsrsError> {
-        if cols == 0 || rows == 0 {
-            return Err(crate::error::ConfigError::InvalidIndexGranularity { cols, rows }.into());
-        }
-        let bbox = dataset
-            .relative_padded_bounding_box(0.5, 1.0)
-            .ok_or(AsrsError::EmptyDataset)?;
-        let spec = GridSpec::new(bbox, cols, rows);
-        let cells = (cols * rows).max(1) as f64;
-        Ok(Self {
-            cols,
-            rows,
-            cell_width: spec.cell_width(),
-            cell_height: spec.cell_height(),
-            avg_objects_per_cell: dataset.len() as f64 / cells,
-        })
     }
 }
 

@@ -5,17 +5,20 @@
 //! [`EngineBuilder::shards(n)`](crate::EngineBuilder::shards) partitions
 //! the dataset spatially (longest-axis recursive splits over the extent,
 //! see [`SpatialPartition`](asrs_data::SpatialPartition)) into `n` disjoint
-//! regions and builds one [`EngineCore`] — sub-dataset plus its own
-//! [`GridIndex`](crate::GridIndex) — per region.  A request is *scattered*:
-//! each shard searches the anchor slab induced by its region, and the
-//! per-shard [`BestSet`]s are *gathered* with the engine's deterministic
-//! `(distance, anchor.y, anchor.x)` tie-break.
+//! regions.  A shard *is* its region: the shard table stores the region,
+//! the number of objects routing to it ([`owning_shard_for_point`]) and a
+//! serving counter, while the engine keeps one dataset and at most one
+//! whole-dataset [`GridIndex`](crate::GridIndex), sharded or not.  A
+//! request is
+//! *scattered*: each shard searches the anchor slab induced by its region,
+//! and the per-shard [`BestSet`]s are *gathered* with the engine's
+//! deterministic `(distance, anchor.y, anchor.x)` tie-break.
 //!
 //! # Exactness
 //!
 //! The ASRS problem does not decompose by objects alone: a candidate
 //! region that straddles a shard boundary draws objects from several
-//! shards, so searching each sub-dataset independently would under-count
+//! shards, so searching each shard's objects independently would under-count
 //! it.  The executor therefore scatters over *anchor slabs* instead: shard
 //! `i` is responsible for every candidate anchor inside its region
 //! extended one query size down and left (exactly the ASP rectangles'
@@ -67,24 +70,21 @@ use crate::stats::SearchStats;
 use crate::sync::Mutex;
 use asrs_aggregator::{CompositeAggregator, Selection};
 use asrs_data::Dataset;
-use asrs_geo::{Rect, RegionSize};
+use asrs_geo::{Point, Rect, RegionSize};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One shard of a sharded engine: its partition region and the core built
-/// over the objects assigned to it.
+/// One shard of a sharded engine: its partition region and how many of
+/// the dataset's objects route to it.
 #[derive(Debug)]
 pub(crate) struct EngineShard {
     /// The partition region (object space) this shard owns.
     pub(crate) region: Rect,
-    /// The shard's own core: sub-dataset, per-shard grid index, per-shard
-    /// statistics.  Never itself sharded, never caching (the query-result
-    /// cache lives at the top level so its keys stay shard-count
-    /// independent).  Behind an [`Arc`] so a mutation that touches one
-    /// shard shares the untouched siblings with the previous generation
-    /// instead of cloning them.
-    pub(crate) core: Arc<EngineCore>,
+    /// Objects of the generation's dataset that route to this shard
+    /// ([`owning_shard_for_point`]).  Drives the re-partition trigger and
+    /// the populated count of [`ShardSet::fan_out`].
+    pub(crate) objects: usize,
     /// Scattered executions this shard participated in (serving metrics).
     pub(crate) requests: AtomicU64,
 }
@@ -96,15 +96,35 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
+    /// The shard table over `regions`, each shard counting the objects of
+    /// `dataset` that route to it.  Shared by the builder, re-partitioning
+    /// and snapshot restore, so every path counts with the same rule.
+    pub(crate) fn counted(regions: Vec<Rect>, dataset: &Dataset) -> Self {
+        let mut set = Self {
+            shards: regions
+                .into_iter()
+                .map(|region| EngineShard {
+                    region,
+                    objects: 0,
+                    requests: AtomicU64::new(0),
+                })
+                .collect(),
+        };
+        for object in dataset.objects() {
+            if let Some(owner) = owning_shard_for_point(&set, &object.location) {
+                set.shards[owner].objects += 1;
+            }
+        }
+        set
+    }
+
     /// Number of shards.
     pub(crate) fn len(&self) -> usize {
         self.shards.len()
     }
 
-    /// A working copy for a group-commit batch: every shard core is
-    /// `Arc`-shared with `self` (an untouched shard costs one refcount),
-    /// serving counters carried over.  The batch's per-op shard
-    /// maintenance then replaces only the cores its deltas touch.
+    /// A working copy for a group-commit batch: regions, object counts and
+    /// serving counters carried over.
     pub(crate) fn carry_over(&self) -> Self {
         Self {
             shards: self
@@ -112,7 +132,7 @@ impl ShardSet {
                 .iter()
                 .map(|s| EngineShard {
                     region: s.region,
-                    core: Arc::clone(&s.core),
+                    objects: s.objects,
                     requests: AtomicU64::new(s.requests.load(Ordering::Relaxed)),
                 })
                 .collect(),
@@ -127,14 +147,6 @@ impl ShardSet {
             .collect()
     }
 
-    /// Per-shard planner statistics, in shard order.
-    pub(crate) fn statistics(&self) -> Vec<crate::planner::EngineStatistics> {
-        self.shards
-            .iter()
-            .map(|s| s.core.statistics.clone())
-            .collect()
-    }
-
     /// Per-shard partition regions, in shard order.
     pub(crate) fn regions(&self) -> Vec<Rect> {
         self.shards.iter().map(|s| s.region).collect()
@@ -144,94 +156,34 @@ impl ShardSet {
     pub(crate) fn fan_out(&self) -> crate::planner::ShardFanOut {
         crate::planner::ShardFanOut {
             shards: self.len(),
-            populated: self
-                .shards
-                .iter()
-                .filter(|s| !s.core.dataset.is_empty())
-                .count(),
+            populated: self.shards.iter().filter(|s| s.objects > 0).count(),
         }
     }
 }
 
-/// Builds the shard table for `dataset`: spatial partition, one sub-core
-/// per region, and — when `upkeep` asks for per-shard indexes — one grid
-/// index per populated shard, built in parallel.  Shared by
-/// [`EngineBuilder::shards`](crate::EngineBuilder::shards) and the
-/// generational mutation path (which re-partitions through this function
-/// whenever a mutation unbalances the layout or leaves the extent).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_shard_set(
-    dataset: &Dataset,
-    aggregator: &Arc<CompositeAggregator>,
-    config: &SearchConfig,
-    strategy: crate::engine::Strategy,
-    planner: &crate::planner::Planner,
-    upkeep: crate::engine::IndexUpkeep,
-    n: usize,
-    generation: u64,
-    policy: &crate::mutate::MutationPolicy,
-) -> Result<ShardSet, AsrsError> {
-    let build_granularity = match upkeep {
-        crate::engine::IndexUpkeep::PerShard { cols, rows } => Some((cols, rows)),
-        _ => None,
-    };
+/// Partitions `dataset` into `n` shard regions and counts each shard's
+/// objects.  Shared by [`EngineBuilder::shards`](crate::EngineBuilder::shards)
+/// and the generational mutation path (which re-partitions through this
+/// function whenever a mutation unbalances the layout or leaves the
+/// extent).
+pub(crate) fn build_shard_set(dataset: &Dataset, n: usize) -> ShardSet {
     let partition = asrs_data::SpatialPartition::build(dataset, n);
-    let subs = partition.sub_datasets(dataset);
+    ShardSet::counted(partition.regions().to_vec(), dataset)
+}
 
-    // Per-shard index builds are independent; fan them out (on multi-core
-    // hosts n small builds finish in a fraction of one whole-dataset
-    // build's wall clock).
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let shard_indexes: Vec<Option<crate::grid_index::GridIndex>> = match build_granularity {
-        None => subs.iter().map(|_| None).collect(),
-        Some((cols, rows)) => parallel_map(subs.len(), workers, |i| {
-            if subs[i].is_empty() {
-                Ok(None)
-            } else {
-                crate::grid_index::GridIndex::build(&subs[i], aggregator, cols, rows).map(Some)
-            }
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?,
-    };
-
-    // The per-shard cores carry each shard's sub-dataset, index and
-    // statistics.  Today they power per-shard planner statistics,
-    // `/metrics` fan-out accounting and the fan-out estimate in
-    // `explain()`; the scatter executor itself still searches the shared
-    // full instance (exactness over shard-local indexes needs halo-aware
-    // summary tables — a noted ROADMAP follow-up).
-    let shards: Vec<EngineShard> = subs
-        .into_iter()
-        .zip(shard_indexes)
-        .zip(partition.regions().iter().copied())
-        .map(|((sub, shard_index), region)| {
-            let shard_statistics =
-                crate::planner::EngineStatistics::capture(&sub, shard_index.as_ref());
-            EngineShard {
-                region,
-                core: Arc::new(EngineCore {
-                    generation,
-                    dataset: Arc::new(sub),
-                    aggregator: Arc::clone(aggregator),
-                    config: config.clone(),
-                    strategy,
-                    index: shard_index.map(Arc::new),
-                    upkeep: crate::engine::IndexUpkeep::None,
-                    planner: planner.clone(),
-                    statistics: shard_statistics,
-                    cache: None,
-                    policy: policy.clone(),
-                    shards: None,
-                }),
-                requests: AtomicU64::new(0),
-            }
-        })
-        .collect();
-
-    Ok(ShardSet { shards })
+/// The shard a point routes to, honouring the partitioner's tie rule for
+/// cut-line points: `SpatialPartition` assigns an object sitting exactly on
+/// a cut to the *at-or-above* (right/upper) side, so a containing region
+/// whose max edge passes through the point does not own it — unless no
+/// other region does, which only happens on the partition extent's own max
+/// edges (and for the zero-area regions of degenerate partitions), where
+/// the first containing region owns it.  `None` for a point outside every
+/// region.
+pub(crate) fn owning_shard_for_point(set: &ShardSet, p: &Point) -> Option<usize> {
+    set.shards
+        .iter()
+        .position(|s| s.region.contains_point(p) && p.x < s.region.max_x && p.y < s.region.max_y)
+        .or_else(|| set.shards.iter().position(|s| s.region.contains_point(p)))
 }
 
 /// The anchor slab shard `region` is responsible for: the region extended
@@ -378,9 +330,8 @@ pub(crate) fn scatter_search(
 /// Runs `count` independent tasks on up to `workers` threads
 /// (work-stealing over task indices) and returns their results in task
 /// order.  A panicking task propagates on join, exactly as it would under
-/// the sequential schedule.  Shared by the scatter executor and the
-/// per-shard index builds.
-pub(crate) fn parallel_map<T, F>(count: usize, workers: usize, task: F) -> Vec<T>
+/// the sequential schedule.
+fn parallel_map<T, F>(count: usize, workers: usize, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

@@ -10,8 +10,9 @@
 //! "strictly below the cut goes left, at-or-above goes right", so shard
 //! membership is never ambiguous for objects sitting on a cut.
 //!
-//! The partition is the data layout of the sharded engine in `asrs-core`:
-//! one sub-dataset (and one grid index) per region.
+//! The regions are the shard table of the sharded engine in `asrs-core`,
+//! which scatters each search over the anchor slabs they induce; the
+//! engine keeps no per-shard copy of the data.
 
 use crate::Dataset;
 use asrs_geo::Rect;
@@ -138,21 +139,6 @@ impl SpatialPartition {
     pub fn shard_of(&self, idx: usize) -> usize {
         self.assignment[idx]
     }
-
-    /// Materialises one sub-dataset per shard, preserving the original
-    /// object order within each shard (which keeps aggregate accumulation
-    /// deterministic).
-    pub fn sub_datasets(&self, dataset: &Dataset) -> Vec<Dataset> {
-        let mut buckets: Vec<Vec<crate::SpatialObject>> =
-            (0..self.shard_count()).map(|_| Vec::new()).collect();
-        for (idx, object) in dataset.iter() {
-            buckets[self.assignment[idx]].push(object.clone());
-        }
-        buckets
-            .into_iter()
-            .map(|objects| Dataset::new_unchecked(dataset.schema().clone(), objects))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -200,20 +186,6 @@ mod tests {
                         partition.regions()[shard]
                     );
                 }
-                // Sub-datasets recover the whole dataset, in order.
-                let subs = partition.sub_datasets(&ds);
-                let total: usize = subs.iter().map(Dataset::len).sum();
-                assert_eq!(total, ds.len());
-                for (shard, sub) in subs.iter().enumerate() {
-                    let mut expected = ds
-                        .iter()
-                        .filter(|(idx, _)| partition.shard_of(*idx) == shard)
-                        .map(|(_, o)| o.id);
-                    for o in sub.objects() {
-                        assert_eq!(Some(o.id), expected.next(), "order preserved");
-                    }
-                    assert!(expected.next().is_none());
-                }
             }
         }
     }
@@ -222,12 +194,16 @@ mod tests {
     fn clustered_data_stays_balanced() {
         let ds = TweetGenerator::compact(8).generate(400, 11);
         let partition = SpatialPartition::build(&ds, 4);
-        let subs = partition.sub_datasets(&ds);
-        for sub in &subs {
+        for shard in 0..4 {
+            let len = partition
+                .assignment()
+                .iter()
+                .filter(|&&s| s == shard)
+                .count();
             // Median splits keep every shard within a factor of the ideal
             // quarter even on clustered data.
-            assert!(sub.len() >= 40, "shard holds only {} of 400", sub.len());
-            assert!(sub.len() <= 200);
+            assert!(len >= 40, "shard holds only {len} of 400");
+            assert!(len <= 200);
         }
     }
 
@@ -244,8 +220,7 @@ mod tests {
         let owners: std::collections::HashSet<usize> =
             partition.assignment().iter().copied().collect();
         assert_eq!(owners.len(), 1, "duplicates all land in one shard");
-        let subs = partition.sub_datasets(&ds);
-        assert_eq!(subs.iter().map(Dataset::len).sum::<usize>(), 10);
+        assert!(partition.assignment().iter().all(|&s| s < 4));
 
         // Single-axis (collinear) dataset.
         let mut b = DatasetBuilder::new(Schema::empty());
@@ -266,9 +241,8 @@ mod tests {
         let ds = b.build().unwrap();
         let partition = SpatialPartition::build(&ds, 7);
         assert_eq!(partition.shard_count(), 7);
-        let subs = partition.sub_datasets(&ds);
-        assert_eq!(subs.iter().map(Dataset::len).sum::<usize>(), 5);
-        assert!(subs.iter().any(Dataset::is_empty));
+        assert!(partition.assignment().iter().all(|&s| s < 7));
+        assert!((0..7).any(|shard| !partition.assignment().contains(&shard)));
 
         // Empty dataset.
         let empty = Dataset::new_unchecked(Schema::empty(), vec![]);

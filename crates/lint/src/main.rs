@@ -59,7 +59,6 @@ const CRATES: &[&str] = &[
     "crates/core",
     "crates/baseline",
     "crates/persist",
-    "crates/audit",
     "crates/interlock",
     "crates/lint",
     "crates/bench",

@@ -6,7 +6,8 @@
 //! ```
 //!
 //! For each directory the tool verifies every snapshot file (framing,
-//! magic, version, CRC-32, full payload decode with shard-position bounds),
+//! magic, version, CRC-32, full payload decode with the shard-region
+//! cover check),
 //! the write-ahead log (frame by frame, distinguishing torn tails from
 //! corrupt frames), and the cross-file generation contiguity a boot
 //! depends on.  Nothing is booted and nothing is modified — it is safe to
@@ -25,7 +26,7 @@
 //!   boot recovers from silently).
 //! * `3` — usage error or an I/O failure reading a directory.
 
-use asrs_audit::{check_dir, FsckReport};
+use asrs_persist::{check_dir, FsckReport};
 use std::path::PathBuf;
 use std::process::ExitCode;
 

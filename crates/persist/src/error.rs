@@ -18,7 +18,7 @@ pub enum PersistError {
         source: io::Error,
     },
     /// A persisted file is structurally invalid: bad magic, unsupported
-    /// version, checksum mismatch, or a payload that does not decode.
+    /// WAL version, checksum mismatch, or a payload that does not decode.
     /// Torn WAL *tails* are tolerated silently (they are the expected
     /// crash artifact); this variant covers damage recovery cannot explain.
     Corrupt {
@@ -26,6 +26,18 @@ pub enum PersistError {
         path: PathBuf,
         /// Human-readable description of the damage.
         message: String,
+    },
+    /// A snapshot file is intact but written in a format version this
+    /// build does not read.  Unlike damage, this is never skipped: the
+    /// file may hold the only copy of every checkpointed mutation, so boot
+    /// stops rather than fall back to an older image or the seed dataset.
+    UnsupportedVersion {
+        /// The file involved.
+        path: PathBuf,
+        /// The version the file declares.
+        version: u32,
+        /// The version this build reads and writes.
+        supported: u32,
     },
     /// The engine rejected a restore or replay (configuration mismatch,
     /// replayed mutation failing validation, …).
@@ -77,6 +89,15 @@ impl fmt::Display for PersistError {
                     message
                 )
             }
+            PersistError::UnsupportedVersion {
+                path,
+                version,
+                supported,
+            } => write!(
+                f,
+                "snapshot {} has format version {version}; this build reads only version {supported}",
+                path.display()
+            ),
             PersistError::Engine(e) => write!(f, "engine rejected persisted state: {e}"),
         }
     }
@@ -87,7 +108,7 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io { source, .. } => Some(source),
             PersistError::Engine(e) => Some(e),
-            PersistError::Corrupt { .. } => None,
+            PersistError::Corrupt { .. } | PersistError::UnsupportedVersion { .. } => None,
         }
     }
 }

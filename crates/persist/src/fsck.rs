@@ -12,8 +12,8 @@
 //! 1. **Per-snapshot** ([`check_snapshot_file`]) — fixed framing, magic,
 //!    version, payload CRC-32, then a full payload decode through the same
 //!    [`decode_payload`](crate::snapshot) the boot path uses, which
-//!    enforces column lengths, index base-table shape and shard-position
-//!    bounds.  The generation in the file name must match the one in the
+//!    enforces column lengths, index base-table shape and that the shard
+//!    regions leave no object outside every region.  The generation in the file name must match the one in the
 //!    payload.
 //! 2. **Per-WAL** ([`check_wal_file`]) — header magic/version, then a
 //!    frame-by-frame walk distinguishing a *torn tail* (an incomplete
@@ -60,9 +60,9 @@ pub enum FsckCategory {
     BadVersion,
     /// A stored CRC-32 does not match the recomputed one.
     ChecksumMismatch,
-    /// A snapshot shard references an object position outside the main
-    /// dataset's columns.
-    ShardPositionOutOfBounds,
+    /// A snapshot's shard regions leave an object of its dataset outside
+    /// every region.
+    ObjectOutsideShardRegions,
     /// Bytes remain after the payload fully decoded.
     TrailingBytes,
     /// The payload does not decode as its declared version.
@@ -166,8 +166,12 @@ pub struct FsckReport {
     pub wal: Option<WalCheck>,
     /// The generation boot would restore from disk (0 for a cold start).
     pub boot_generation: u64,
-    /// `true` when no loadable snapshot exists.
+    /// `true` when no loadable snapshot exists and none stops the boot.
     pub cold_start: bool,
+    /// `true` when boot would stop with an unsupported-version error: a
+    /// snapshot in another format version is newer than every loadable
+    /// one.  Nothing is replayed then.
+    pub boot_refused: bool,
     /// WAL frames boot would replay on top of the restored snapshot.
     pub replayable_frames: u64,
     /// The generation the engine would reach after replay.
@@ -214,7 +218,13 @@ impl FsckReport {
                 None => "absent".to_string(),
             },
             self.boot_generation,
-            if self.cold_start { " (cold start)" } else { "" },
+            if self.boot_refused {
+                " (boot refused)"
+            } else if self.cold_start {
+                " (cold start)"
+            } else {
+                ""
+            },
             self.replayable_frames,
             self.final_generation,
         );
@@ -324,8 +334,8 @@ pub fn check_snapshot_file(path: &Path) -> Result<SnapshotCheck, PersistError> {
 
     // The checksum verifies, so the payload is what was written; now the
     // content itself must decode.  This is the exact decoder the boot path
-    // runs, so every column-length and shard-position bound it enforces is
-    // enforced here.
+    // runs, so every column-length bound and shard-region check it
+    // enforces is enforced here.
     match snapshot::decode_payload(payload, path) {
         Ok(state) => {
             check.payload_generation = Some(state.generation);
@@ -342,8 +352,8 @@ pub fn check_snapshot_file(path: &Path) -> Result<SnapshotCheck, PersistError> {
             }
         }
         Err(PersistError::Corrupt { message, .. }) => {
-            let category = if message.contains("out of range") {
-                FsckCategory::ShardPositionOutOfBounds
+            let category = if message.contains("outside every shard region") {
+                FsckCategory::ObjectOutsideShardRegions
             } else if message.contains("trailing payload bytes") {
                 FsckCategory::TrailingBytes
             } else {
@@ -567,22 +577,33 @@ pub fn check_dir(dir: &Path) -> Result<FsckReport, PersistError> {
     }
     snapshots.sort_by_key(|s| s.name_generation);
 
-    // The boot plan: restore the newest loadable snapshot (damaged ones
-    // are skipped, as load_latest skips them), then replay WAL frames past
-    // it.  Frames at or below the boot generation are redundant leftovers
-    // of a crash between snapshot and compaction; past that the log must
-    // continue exactly where the snapshot ends.
-    let boot_generation = snapshots
-        .iter()
-        .filter(|s| s.loadable())
-        .filter_map(|s| s.payload_generation)
-        .max();
-    let cold_start = boot_generation.is_none();
+    // The boot plan, walking snapshots newest first as load_latest does:
+    // damaged ones are skipped, one in another format version stops the
+    // boot, the first loadable one is restored.  Then WAL frames past it
+    // replay.  Frames at or below the boot generation are redundant
+    // leftovers of a crash between snapshot and compaction; past that the
+    // log must continue exactly where the snapshot ends.
+    let mut boot_refused = false;
+    let mut boot_generation = None;
+    for s in snapshots.iter().rev() {
+        if s.loadable() {
+            boot_generation = s.payload_generation;
+            break;
+        }
+        if s.findings
+            .iter()
+            .any(|f| f.category == FsckCategory::BadVersion)
+        {
+            boot_refused = true;
+            break;
+        }
+    }
+    let cold_start = boot_generation.is_none() && !boot_refused;
     let boot_generation = boot_generation.unwrap_or(0);
 
     let mut at = boot_generation;
     let mut replayable = 0u64;
-    if let Some(wal) = &wal_check {
+    if let Some(wal) = wal_check.as_ref().filter(|_| !boot_refused) {
         for &generation in &wal.generations {
             if generation <= boot_generation {
                 continue;
@@ -629,6 +650,7 @@ pub fn check_dir(dir: &Path) -> Result<FsckReport, PersistError> {
         wal: wal_check,
         boot_generation,
         cold_start,
+        boot_refused,
         replayable_frames: replayable,
         final_generation: at,
         findings,

@@ -4,8 +4,8 @@
 //! Two cooperating mechanisms:
 //!
 //! * **Columnar snapshots** ([`snapshot`]) — a versioned, checksummed file
-//!   capturing one engine generation: the dataset's columns plus the grid
-//!   index base tables, per shard.  Loading one restores the engine
+//!   capturing one engine generation: the dataset's columns, the grid
+//!   index base table and the shard regions.  Loading one restores the engine
 //!   *without re-indexing*, so boot cost is file-read cost; the restored
 //!   engine answers every query byte-identically to the one that wrote
 //!   the snapshot.
@@ -17,7 +17,9 @@
 //! [`store`] ties them together: [`PersistExt::persist_dir`] turns an
 //! `EngineBuilder` into a [`PersistentBuilder`] whose `build` restores
 //! snapshot + log, and whose [`PersistHandle`] keeps later mutations
-//! durable and schedules log compaction.
+//! durable and schedules log compaction.  [`fsck`] verifies a persistence
+//! directory offline; the `asrs-fsck` binary of this crate wraps it in a
+//! CLI.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

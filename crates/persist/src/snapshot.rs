@@ -1,42 +1,53 @@
 //! The columnar snapshot format: one versioned, checksummed file per
 //! engine generation, loadable without re-indexing.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! ```text
 //! [4]  magic  b"ASNP"
-//! [4]  format version, little-endian u32 (currently 1)
+//! [4]  format version, little-endian u32 (currently 2)
 //! [..] payload (below)
 //! [4]  CRC-32 of the payload
 //! ```
 //!
 //! The payload is column-oriented throughout (see
-//! [`asrs_data::columnar`]): the generation number, the full dataset
-//! (schema + id/x/y/attribute columns), the optional whole-dataset grid
-//! index, and — for sharded engines — one section per shard.  Two
-//! representation choices keep the file small without costing bit
-//! fidelity:
+//! [`asrs_data::columnar`]):
 //!
-//! * **Index tables**: only the per-cell *base* table is stored; the
-//!   suffix tables are a deterministic pure function of it and are
-//!   recomputed on load ([`asrs_core::GridIndex::from_base_table`]), which
-//!   halves the index bytes while staying bit-identical.
-//! * **Shard datasets**: each shard stores the *positions* of its objects
-//!   in the main dataset (in shard order), not the objects themselves —
-//!   the objects already travel once in the main columns.
+//! ```text
+//! [8]  generation, u64
+//! [..] dataset: schema + id/x/y/attribute columns
+//! [1]  index present (0/1), then the index: space, cols, rows,
+//!      statistics dims, objects indexed, base table (f64 bits)
+//! [1]  sharded (0/1), then [8] region count k and k regions of
+//!      4 × f64 (min_x, min_y, max_x, max_y)
+//! ```
+//!
+//! Only the per-cell *base* table of the index is stored; the suffix
+//! tables are a deterministic pure function of it and are recomputed on
+//! load ([`asrs_core::GridIndex::from_base_table`]), which halves the
+//! index bytes while staying bit-identical.  A shard is its region, so a
+//! sharded snapshot is its unsharded twin plus `8 + 32·k` bytes; the
+//! per-shard object counts are recounted from the dataset on restore.  The
+//! decoder rejects a shard section that leaves any object outside every
+//! region.
+//!
+//! Version 1 files (which also stored per-shard object positions and
+//! per-shard index tables) are not read.  Boot refuses to start on one
+//! ([`PersistError::UnsupportedVersion`]) instead of skipping it, and
+//! `asrs-fsck` reports it as `BadVersion`.
 //!
 //! Snapshot files are named `snapshot-<generation:016x>.snap`, written to
 //! a temporary sibling, fsync'd and renamed into place, then the directory
 //! itself is fsync'd — a crash mid-write leaves the previous snapshot
 //! untouched.  [`load_latest`] picks the highest-generation file whose
-//! checksum verifies, skipping damaged candidates.
+//! checksum verifies, skipping damaged candidates but stopping at one in
+//! another format version.
 
 use crate::crc::crc32;
 use crate::error::PersistError;
-use asrs_core::{AsrsError, EngineState, GridIndex, ShardState};
+use asrs_core::{EngineState, GridIndex};
 use asrs_data::columnar::{self, Reader};
 use asrs_geo::{GridSpec, Rect};
-use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -45,7 +56,7 @@ use std::sync::Arc;
 /// File magic of the snapshot format.
 pub(crate) const MAGIC: [u8; 4] = *b"ASNP";
 /// Current format version.
-pub(crate) const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 2;
 
 /// A snapshot file on disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,50 +136,26 @@ fn read_index(reader: &mut Reader<'_>, path: &Path) -> Result<Option<GridIndex>,
         .map_err(PersistError::Engine)
 }
 
-/// Serializes `state` into the version-1 snapshot payload.
-fn encode_payload(state: &EngineState) -> Result<Vec<u8>, PersistError> {
+/// Serializes `state` into the snapshot payload.
+fn encode_payload(state: &EngineState) -> Vec<u8> {
     let mut out = Vec::new();
     columnar::put_u64(&mut out, state.generation);
     columnar::encode_dataset(&state.dataset, &mut out);
     put_index(&mut out, state.index.as_deref());
     match &state.shards {
         None => columnar::put_u8(&mut out, 0),
-        Some(shards) => {
+        Some(regions) => {
             columnar::put_u8(&mut out, 1);
-            columnar::put_u64(&mut out, shards.len() as u64);
-            // Shard objects are stored as positions into the main columns.
-            let by_id: HashMap<u64, usize> = state
-                .dataset
-                .iter()
-                .map(|(i, o)| (o.id, i))
-                .collect();
-            for shard in shards {
-                put_rect(&mut out, &shard.region);
-                columnar::put_u64(&mut out, shard.dataset.len() as u64);
-                for o in shard.dataset.objects() {
-                    let position = match by_id.get(&o.id) {
-                        Some(&i) if *state.dataset.object(i) == *o => i,
-                        // Defensive: an id collision or divergent copy
-                        // would silently snapshot the wrong object.
-                        _ => {
-                            return Err(PersistError::Engine(AsrsError::Persistence {
-                                message: format!(
-                                    "shard object {} has no identical twin in the main dataset",
-                                    o.id
-                                ),
-                            }))
-                        }
-                    };
-                    columnar::put_u64(&mut out, position as u64);
-                }
-                put_index(&mut out, shard.index.as_deref());
+            columnar::put_u64(&mut out, regions.len() as u64);
+            for region in regions {
+                put_rect(&mut out, region);
             }
         }
     }
-    Ok(out)
+    out
 }
 
-/// Deserializes a version-1 payload back into an [`EngineState`].
+/// Deserializes a payload back into an [`EngineState`].
 pub(crate) fn decode_payload(payload: &[u8], path: &Path) -> Result<EngineState, PersistError> {
     let decode = |e: asrs_data::columnar::ColumnarError| PersistError::corrupt(path, e.to_string());
     let mut reader = Reader::new(payload);
@@ -179,33 +166,28 @@ pub(crate) fn decode_payload(payload: &[u8], path: &Path) -> Result<EngineState,
         None
     } else {
         let count = reader.u64().map_err(decode)? as usize;
-        let mut shards = Vec::with_capacity(count);
-        for _ in 0..count {
-            let region = read_rect(&mut reader).map_err(decode)?;
-            let len = reader.u64().map_err(decode)? as usize;
-            let mut shard_objects = Vec::with_capacity(len);
-            for _ in 0..len {
-                let position = reader.u64().map_err(decode)? as usize;
-                if position >= dataset.len() {
-                    return Err(PersistError::corrupt(
-                        path,
-                        format!("shard object position {position} out of range"),
-                    ));
-                }
-                shard_objects.push(dataset.object(position).clone());
-            }
-            let shard_dataset = Arc::new(asrs_data::Dataset::new_unchecked(
-                dataset.schema().clone(),
-                shard_objects,
-            ));
-            let shard_index = read_index(&mut reader, path)?.map(Arc::new);
-            shards.push(ShardState {
-                region,
-                dataset: shard_dataset,
-                index: shard_index,
-            });
+        if count == 0 {
+            return Err(PersistError::corrupt(path, "shard section holds no region"));
         }
-        Some(shards)
+        let mut regions = Vec::with_capacity(count.min(reader.remaining() / 32));
+        for _ in 0..count {
+            regions.push(read_rect(&mut reader).map_err(decode)?);
+        }
+        // Every object must route to some shard, or the restored shard
+        // table would not account for it.
+        if let Some(o) = dataset
+            .objects()
+            .find(|o| !regions.iter().any(|r| r.contains_point(&o.location)))
+        {
+            return Err(PersistError::corrupt(
+                path,
+                format!(
+                    "object {} at {} lies outside every shard region",
+                    o.id, o.location
+                ),
+            ));
+        }
+        Some(regions)
     };
     if reader.remaining() != 0 {
         return Err(PersistError::corrupt(
@@ -224,7 +206,7 @@ pub(crate) fn decode_payload(payload: &[u8], path: &Path) -> Result<EngineState,
 /// Writes a snapshot of `state` into `dir` (atomically: temporary file,
 /// fsync, rename, directory fsync) and returns its description.
 pub fn write_snapshot(dir: &Path, state: &EngineState) -> Result<SnapshotFile, PersistError> {
-    let payload = encode_payload(state)?;
+    let payload = encode_payload(state);
     let mut bytes = Vec::with_capacity(payload.len() + 12);
     bytes.extend_from_slice(&MAGIC);
     bytes.extend_from_slice(&VERSION.to_le_bytes());
@@ -271,10 +253,11 @@ pub fn read_snapshot(path: &Path) -> Result<EngineState, PersistError> {
     }
     let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
     if version != VERSION {
-        return Err(PersistError::corrupt(
-            path,
-            format!("unsupported format version {version}"),
-        ));
+        return Err(PersistError::UnsupportedVersion {
+            path: path.to_path_buf(),
+            version,
+            supported: VERSION,
+        });
     }
     let payload = &bytes[8..bytes.len() - 4];
     let tail = bytes.len() - 4;
@@ -316,7 +299,11 @@ fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
 /// holds no loadable snapshot.  Damaged candidates (bad checksum,
 /// truncation, undecodable payload) are skipped in favour of the next
 /// older one — an interrupted snapshot write must never block recovery
-/// from an older good image.
+/// from an older good image.  A candidate in another format version is
+/// not damage and is not skipped: it fails the load with
+/// [`PersistError::UnsupportedVersion`], because the WAL was compacted
+/// when it was written and falling back would silently drop every
+/// mutation it holds.
 pub fn load_latest(dir: &Path) -> Result<Option<(EngineState, SnapshotFile)>, PersistError> {
     for (generation, path) in list_snapshots(dir)? {
         match read_snapshot(&path) {
@@ -395,22 +382,30 @@ mod tests {
                 (None, None) => {}
                 _ => panic!("index presence must round-trip"),
             }
-            assert_eq!(
-                loaded.shards.as_ref().map(Vec::len),
-                state.shards.as_ref().map(Vec::len)
-            );
-            if let (Some(a), Some(b)) = (&loaded.shards, &state.shards) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.region, y.region);
-                    assert!(x.dataset.objects().eq(y.dataset.objects()));
-                    assert_eq!(
-                        x.index.as_ref().map(|i| i.base_table().to_vec()),
-                        y.index.as_ref().map(|i| i.base_table().to_vec())
-                    );
-                }
-            }
+            assert_eq!(loaded.shards, state.shards);
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A shard section holds only its regions: the sharded snapshot of a
+    /// dataset and index is its unsharded twin plus `8 + 32·k` bytes.
+    #[test]
+    fn a_sharded_snapshot_adds_only_its_regions() {
+        let (dir0, dir3) = (temp_dir("regions0"), temp_dir("regions3"));
+        let unsharded = write_snapshot(&dir0, &engine(0).export_state()).unwrap();
+        let sharded = write_snapshot(&dir3, &engine(3).export_state()).unwrap();
+        assert_eq!(sharded.bytes, unsharded.bytes + 8 + 32 * 3);
+        // Everything before the shard flag (framing, generation, dataset,
+        // index) is byte-identical.
+        let (a, b) = (
+            fs::read(&unsharded.path).unwrap(),
+            fs::read(&sharded.path).unwrap(),
+        );
+        let shared = a.len() - 5;
+        assert_eq!(a[..shared], b[..shared]);
+        assert_eq!((a[shared], b[shared]), (0, 1));
+        let _ = fs::remove_dir_all(&dir0);
+        let _ = fs::remove_dir_all(&dir3);
     }
 
     #[test]

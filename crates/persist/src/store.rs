@@ -304,7 +304,10 @@ impl PersistentBuilder {
 
     /// Boots the engine: restore from the newest valid snapshot (or build
     /// from the seed dataset when none exists), replay the WAL tail, then
-    /// attach the log so subsequent mutations are durable.
+    /// attach the log so subsequent mutations are durable.  A snapshot in
+    /// another format version stops the boot with
+    /// [`PersistError::UnsupportedVersion`] (see
+    /// [`load_latest`](crate::load_latest)).
     pub fn build(self) -> Result<PersistentEngine, PersistError> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| PersistError::io("create persistence directory", &self.dir, e))?;
@@ -525,6 +528,48 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".snap"))
             .collect();
         assert_eq!(snaps.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint compacts the WAL, so the snapshot is the only copy of
+    /// its mutations: a file in another format version must stop the boot,
+    /// not be skipped into a cold start from the seed dataset.
+    #[test]
+    fn a_snapshot_in_another_format_version_stops_the_boot() {
+        let dir = temp_dir("version");
+        {
+            let p = builder(100, 2).persist_dir(&dir).build().unwrap();
+            for id in 900..903 {
+                p.engine().append(object(id)).unwrap();
+            }
+            assert_eq!(p.snapshot().unwrap().wal_entries, 0);
+        }
+        let snap = dir.join(format!("snapshot-{:016x}.snap", 3));
+        let mut bytes = std::fs::read(&snap).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&snap, &bytes).unwrap();
+
+        match builder(100, 2).persist_dir(&dir).build() {
+            Err(PersistError::UnsupportedVersion {
+                path,
+                version,
+                supported,
+            }) => {
+                assert_eq!(path, snap);
+                assert_eq!((version, supported), (1, snapshot::VERSION));
+            }
+            Err(other) => panic!("expected an unsupported version, got {other}"),
+            Ok(p) => panic!("booted with cold_start {}", p.boot().cold_start),
+        }
+        // The refused boot wrote nothing: the file is still the only
+        // snapshot, byte for byte.
+        let snaps: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".snap"))
+            .collect();
+        assert_eq!(snaps.len(), 1);
+        assert_eq!(std::fs::read(&snap).unwrap(), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,14 +7,13 @@
 //! contract — is under test, not just the library functions.
 
 use asrs_aggregator::{CompositeAggregator, Selection};
-use asrs_audit::{check_dir, check_snapshot_file, FsckCategory, Severity};
 use asrs_core::AsrsEngine;
 use asrs_data::columnar;
 use asrs_data::gen::UniformGenerator;
 use asrs_data::{AttrValue, SpatialObject};
 use asrs_geo::Point;
 use asrs_persist::crc::crc32;
-use asrs_persist::PersistExt;
+use asrs_persist::{check_dir, check_snapshot_file, FsckCategory, PersistExt, Severity};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -169,48 +168,99 @@ fn a_generation_gap_in_the_wal_is_a_contiguity_error() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Writes `payload` into `dir` as a snapshot with valid framing: magic,
+/// the given format version and a correct CRC.
+fn write_framed_snapshot(dir: &Path, version: u32, payload: &[u8]) -> PathBuf {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(b"ASNP");
+    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+    let snap = dir.join(format!("snapshot-{:016x}.snap", 0));
+    fs::write(&snap, &bytes).unwrap();
+    snap
+}
+
 #[test]
-fn an_out_of_bounds_shard_position_is_detected_inside_a_valid_envelope() {
-    // Build the snapshot payload by hand: a real dataset, no index, one
-    // shard whose single object position points far past the columns.
-    // The framing (magic, version, CRC) is *valid* — only the content is
-    // poisoned, so nothing but the payload bounds check can catch it.
-    let dir = temp_dir("oob");
+fn a_shard_region_leaving_an_object_uncovered_is_detected_inside_a_valid_envelope() {
+    // Build the snapshot payload by hand: a real dataset, no index, and a
+    // shard section whose two regions cover only the left half of the
+    // extent.  The framing (magic, version, CRC) is *valid* — only the
+    // content is poisoned, so nothing but the decoder's cover check can
+    // catch it.
+    let dir = temp_dir("uncovered");
     fs::create_dir_all(&dir).unwrap();
     let ds = UniformGenerator::default().generate(50, 23);
+    let extent = ds.bounding_box().unwrap();
+    let mid_x = (extent.min_x + extent.max_x) / 2.0;
 
     let mut payload = Vec::new();
     columnar::put_u64(&mut payload, 0); // generation
     columnar::encode_dataset(&ds, &mut payload);
-    columnar::put_u8(&mut payload, 0); // no top-level index
+    columnar::put_u8(&mut payload, 0); // no index
     columnar::put_u8(&mut payload, 1); // sharded
-    columnar::put_u64(&mut payload, 1); // one shard
-    for v in [0.0, 0.0, 100.0, 100.0] {
-        columnar::put_f64(&mut payload, v); // shard region
+    columnar::put_u64(&mut payload, 2); // two regions
+    let mid_y = (extent.min_y + extent.max_y) / 2.0;
+    for v in [extent.min_x, extent.min_y, mid_x, mid_y] {
+        columnar::put_f64(&mut payload, v);
     }
-    columnar::put_u64(&mut payload, 1); // one object in the shard
-    columnar::put_u64(&mut payload, 999_999); // position out of bounds
-    columnar::put_u8(&mut payload, 0); // no shard index
-
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"ASNP");
-    bytes.extend_from_slice(&1u32.to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    let snap = dir.join(format!("snapshot-{:016x}.snap", 0));
-    fs::write(&snap, &bytes).unwrap();
+    for v in [extent.min_x, mid_y, mid_x, extent.max_y] {
+        columnar::put_f64(&mut payload, v);
+    }
+    let snap = write_framed_snapshot(&dir, 2, &payload);
 
     let check = check_snapshot_file(&snap).unwrap();
     assert!(!check.loadable());
     assert_eq!(check.findings.len(), 1);
     assert_eq!(
         check.findings[0].category,
-        FsckCategory::ShardPositionOutOfBounds
+        FsckCategory::ObjectOutsideShardRegions
     );
 
     let (code, stdout) = run_fsck(&[&dir]);
     assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains("ShardPositionOutOfBounds"), "{stdout}");
+    assert!(stdout.contains("ObjectOutsideShardRegions"), "{stdout}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_version_1_snapshot_is_a_bad_version_error() {
+    // A well-formed version-1 file: the old shard section stored object
+    // positions and a per-shard index.  Version 2 reads no such file.
+    let dir = temp_dir("v1");
+    fs::create_dir_all(&dir).unwrap();
+    let ds = UniformGenerator::default().generate(20, 5);
+    let mut payload = Vec::new();
+    columnar::put_u64(&mut payload, 0); // generation
+    columnar::encode_dataset(&ds, &mut payload);
+    columnar::put_u8(&mut payload, 0); // no top-level index
+    columnar::put_u8(&mut payload, 1); // sharded
+    columnar::put_u64(&mut payload, 1); // one shard
+    let extent = ds.bounding_box().unwrap();
+    for v in [extent.min_x, extent.min_y, extent.max_x, extent.max_y] {
+        columnar::put_f64(&mut payload, v);
+    }
+    columnar::put_u64(&mut payload, ds.len() as u64);
+    for position in 0..ds.len() as u64 {
+        columnar::put_u64(&mut payload, position);
+    }
+    columnar::put_u8(&mut payload, 0); // no shard index
+    let snap = write_framed_snapshot(&dir, 1, &payload);
+
+    let check = check_snapshot_file(&snap).unwrap();
+    assert_eq!(check.findings.len(), 1);
+    assert_eq!(check.findings[0].category, FsckCategory::BadVersion);
+    assert!(matches!(
+        asrs_persist::read_snapshot(&snap),
+        Err(asrs_persist::PersistError::UnsupportedVersion { version: 1, .. })
+    ));
+    // Boot stops on it rather than cold-starting past it.
+    let report = check_dir(&dir).unwrap();
+    assert!(report.boot_refused && !report.cold_start);
+    let (code, stdout) = run_fsck(&[&dir]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stdout.contains("BadVersion"), "{stdout}");
+    assert!(stdout.contains("\"boot_refused\":true"), "{stdout}");
     let _ = fs::remove_dir_all(&dir);
 }
 

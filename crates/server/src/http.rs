@@ -53,11 +53,12 @@ impl HttpRequest {
     }
 }
 
-/// A wall-clock budget covering one whole request read.  The per-read
-/// socket timeout only bounds individual syscalls, so a client trickling
-/// one byte per timeout window could pin a pool worker indefinitely; the
-/// budget closes the connection once the *total* read time is spent
-/// (reported as `TimedOut`, which the server treats as a silent close).
+/// A wall-clock budget covering one whole request read, from its first
+/// byte.  The per-read socket timeout only bounds individual syscalls, so
+/// a client trickling one byte per timeout window could pin a pool worker
+/// indefinitely; the budget closes the connection once the *total* read
+/// time is spent (reported as `TimedOut`, which the server treats as a
+/// silent close).
 #[derive(Debug)]
 struct ReadBudget {
     started: Instant,
@@ -87,12 +88,17 @@ impl ReadBudget {
 /// Reads one request from the stream.  Returns `Ok(None)` on a clean
 /// end-of-stream before any byte of a request, and `Err` with
 /// `InvalidData` on malformed framing (the caller answers 400 and closes)
-/// or `TimedOut` when the whole read exceeds `deadline` (the caller closes
-/// silently).
+/// or `TimedOut` when the read, counted from the request's first byte,
+/// exceeds `deadline` (the caller closes silently).  Idle time before the
+/// first byte — a keep-alive connection between requests — is bounded by
+/// the stream's own read timeout, not by `deadline`.
 pub fn read_request<R: BufRead>(
     reader: &mut R,
     deadline: Duration,
 ) -> io::Result<Option<HttpRequest>> {
+    if reader.fill_buf()?.is_empty() {
+        return Ok(None);
+    }
     let budget = ReadBudget::new(deadline);
     let mut head = 0usize;
     // Request line; tolerate stray blank lines between pipelined requests.

@@ -10,6 +10,9 @@ use asrs_core::{AsrsEngine, AsrsQuery, QueryRequest, QueryResponse};
 use asrs_data::gen::UniformGenerator;
 use asrs_geo::RegionSize;
 use asrs_server::{AsrsServer, HttpClient, ServerConfig, ServerHandle};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn engine(cache_capacity: usize) -> AsrsEngine {
     let ds = UniformGenerator::default().generate(400, 77);
@@ -374,5 +377,70 @@ fn audit_endpoint_reports_clean_state_over_the_wire() {
     assert_eq!(status, 405);
 
     drop(client);
+    server.shutdown();
+}
+
+/// A server whose whole-request deadline is far shorter than its idle
+/// read timeout, so the two limits can be told apart.
+fn start_with_short_deadline(engine: &AsrsEngine) -> ServerHandle {
+    let config = ServerConfig {
+        read_timeout: Duration::from_secs(3),
+        request_deadline: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    AsrsServer::bind(engine.handle(), "127.0.0.1:0", config)
+        .and_then(AsrsServer::start)
+        .expect("server binds an ephemeral port")
+}
+
+/// Idle time between keep-alive requests is bounded by `read_timeout`,
+/// not by `request_deadline`: the deadline clock starts at a request's
+/// first byte.
+#[test]
+fn an_idle_keep_alive_connection_outlives_the_request_deadline() {
+    let engine = engine(0);
+    let server = start_with_short_deadline(&engine);
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let (status, _) = client.request("GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200);
+    std::thread::sleep(Duration::from_millis(900));
+    let (status, body) = client.request("GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    drop(client);
+    server.shutdown();
+}
+
+/// A client trickling one request byte at a time is still cut off once
+/// `request_deadline` has passed since the request's first byte, long
+/// before the request completes and before `read_timeout` could fire.
+#[test]
+fn a_trickled_request_is_cut_off_at_the_request_deadline() {
+    let engine = engine(0);
+    let server = start_with_short_deadline(&engine);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let request = format!(
+        "GET /healthz?{} HTTP/1.1\r\nHost: x\r\n\r\n",
+        "p".repeat(80)
+    );
+    let started = Instant::now();
+    let mut cut_after = None;
+    for byte in request.as_bytes() {
+        if stream.write_all(&[*byte]).is_err() {
+            cut_after = Some(started.elapsed());
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let cut_after = cut_after.expect("the server closes a trickled request mid-way");
+    assert!(
+        cut_after >= Duration::from_millis(300) && cut_after < Duration::from_millis(1_500),
+        "cut off after {cut_after:?}"
+    );
+    let mut answer = Vec::new();
+    let _ = stream.read_to_end(&mut answer);
+    assert!(answer.is_empty(), "a cut-off request gets no response");
     server.shutdown();
 }

@@ -105,7 +105,7 @@ fn main() {
     assert!(stats.expiries > 0, "the TTL batch must have expired");
     assert!(
         stats.incremental_index_updates > 0,
-        "interior appends must maintain the shard indexes incrementally"
+        "interior appends must maintain the index incrementally"
     );
 
     // Rebuild equivalence: a fresh engine from the final dataset answers

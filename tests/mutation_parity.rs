@@ -135,6 +135,30 @@ fn build_engine(ds: Dataset, agg: CompositeAggregator, shards: usize, cache: usi
     builder.build().unwrap()
 }
 
+/// A sharded engine plans like the unsharded engine over the same dataset:
+/// its statistics equal the unsharded engine's in every field but the
+/// shard fan-out, and every request plans the same backend.
+fn assert_plans_like_unsharded(
+    engine: &AsrsEngine,
+    agg: &CompositeAggregator,
+    requests: &[QueryRequest],
+    context: &str,
+) {
+    let unsharded = build_engine((*engine.dataset()).clone(), agg.clone(), 0, 0);
+    let mut statistics = engine.statistics();
+    assert!(statistics.shards.is_some(), "{context}: not sharded");
+    statistics.shards = None;
+    assert_eq!(statistics, unsharded.statistics(), "{context}");
+    for request in requests {
+        assert_eq!(
+            engine.plan(request).unwrap().backend,
+            unsharded.plan(request).unwrap().backend,
+            "{context}, {}",
+            request.operation_name()
+        );
+    }
+}
+
 /// One mutation drawn from the seeded stream.  Appends stay inside the
 /// original extent most of the time (incremental index maintenance), leave
 /// it occasionally (geometry rebuild / shard re-partition), and sometimes
@@ -209,7 +233,8 @@ fn apply_random_mutation(
 /// answers byte-identically to a fresh engine rebuilt from the equivalent
 /// final dataset — for the unsharded engine and shard counts {1, 2, 4} —
 /// and warm resubmissions replay the current generation, never a stale
-/// one.
+/// one.  Sharded engines also plan like the unsharded engine, fresh and
+/// after every checkpoint.
 #[test]
 fn mutated_engines_answer_like_fresh_rebuilds() {
     let workloads: [(&str, (Dataset, CompositeAggregator)); 2] = [
@@ -221,6 +246,15 @@ fn mutated_engines_answer_like_fresh_rebuilds() {
         let template = ds.object(0).clone();
         for shards in SHARD_CONFIGS {
             let engine = build_engine(ds.clone(), agg.clone(), shards, 64);
+            if shards > 0 {
+                let pool = request_pool(&ds, &agg, 76);
+                assert_plans_like_unsharded(
+                    &engine,
+                    &agg,
+                    &pool,
+                    &format!("{name}, shards {shards}, fresh"),
+                );
+            }
             let mut lcg = Lcg::new(1000 + shards as u64);
             let mut live_ids: Vec<u64> = Vec::new();
             let mut next_id = 1_000_000u64;
@@ -246,9 +280,10 @@ fn mutated_engines_answer_like_fresh_rebuilds() {
                 // builder settings, same shard count; no cache needed —
                 // byte identity is on stripped responses).
                 let rebuilt = build_engine((*engine.dataset()).clone(), agg.clone(), shards, 0);
-                for request in request_pool(&engine.dataset(), &agg, 77 + checkpoint) {
-                    let expected = canonical_bytes(&rebuilt.submit(&request).unwrap());
-                    let cold = canonical_bytes(&engine.submit(&request).unwrap());
+                let pool = request_pool(&engine.dataset(), &agg, 77 + checkpoint);
+                for request in &pool {
+                    let expected = canonical_bytes(&rebuilt.submit(request).unwrap());
+                    let cold = canonical_bytes(&engine.submit(request).unwrap());
                     assert_eq!(
                         cold,
                         expected,
@@ -258,7 +293,7 @@ fn mutated_engines_answer_like_fresh_rebuilds() {
                     );
                     // Warm resubmission: the cache may only replay the
                     // *current* generation's response.
-                    let warm = canonical_bytes(&engine.submit(&request).unwrap());
+                    let warm = canonical_bytes(&engine.submit(request).unwrap());
                     assert_eq!(
                         warm,
                         expected,
@@ -269,9 +304,17 @@ fn mutated_engines_answer_like_fresh_rebuilds() {
                 }
                 // Unsharded engines must also agree on the planner inputs
                 // (sharded layouts legitimately differ from a fresh
-                // partition, but shard layout never affects answers).
+                // partition, but shard layout never affects answers), and
+                // sharded engines must plan like the unsharded engine.
                 if shards == 0 {
                     assert_eq!(engine.statistics(), rebuilt.statistics(), "{name}");
+                } else {
+                    assert_plans_like_unsharded(
+                        &engine,
+                        &agg,
+                        &pool,
+                        &format!("{name}, shards {shards}, checkpoint {checkpoint}"),
+                    );
                 }
             }
             // The interleaving exercised the incremental path.
